@@ -1,13 +1,15 @@
 // pqd_sweep: service-tier geometry sweep — shards x batch x clients, per
 // shard backend, over one deterministic hold-model trace.
 //
-// The quantity under test is lock amortization: how many ops one shard
-// acquisition serves (ops / pqd.shard_acquisitions) as the batch knob
-// grows, and what that does to client-observed tail latency and to
+// The quantity under test is insert-side lock amortization: every delete
+// takes one shard acquisition, and sessions batch inserts so one
+// acquisition applies up to `batch` of them. The sweep reports how many
+// ops one acquisition serves (ops / pqd.shard_acquisitions) as the batch
+// knob grows, and what that does to client-observed tail latency and to
 // delete-min quality (pqd.rank_error.*, sampled through the shared
-// probe). batch=1 rows are the unamortized baseline the acceptance
-// ratio in bench_results/BENCH_pqd.json is computed against
-// (bench/run_native.sh distills pqd_sweep.csv).
+// probe). batch=1 rows are the unamortized baseline
+// (bench/run_native.sh distills pqd_sweep.csv into
+// bench_results/BENCH_pqd.json).
 //
 // Every run replays the SAME trace (record_hold_model, fixed seed), so
 // rows differ only in service geometry, never in logical work.

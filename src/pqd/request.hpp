@@ -22,11 +22,11 @@ using Key = harness::Key;
 using Value = harness::Value;
 using Item = std::pair<Key, Value>;
 
-/// Shard claim-window sentinels (service.cpp). User keys must stay below
-/// both; the service rejects inserts at or above kMaxUserKey.
+/// kEmptyKey is what an empty shard publishes as its minimum
+/// (service.cpp). User keys must stay below kMaxUserKey; the service
+/// rejects inserts at or above it.
 inline constexpr Key kEmptyKey = std::numeric_limits<Key>::max();
-inline constexpr Key kClaimedKey = kEmptyKey - 1;
-inline constexpr Key kMaxUserKey = kClaimedKey - 1;
+inline constexpr Key kMaxUserKey = kEmptyKey - 1;
 
 enum class OpKind : std::uint8_t {
   kInsert = 0,     ///< enqueue (key, value); batched, no response

@@ -1,4 +1,4 @@
-// pqd::Service implementation: shards, claim windows, min-of-shards.
+// pqd::Service implementation: locked shards, windows, min-of-shards.
 #include "pqd/service.hpp"
 
 #include <algorithm>
@@ -6,10 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
-
-#include "slpq/detail/spinlock.hpp"
 
 namespace pqd {
 
@@ -29,57 +26,106 @@ bool is_stat_key(std::string_view name) {
   return false;
 }
 
+bool key_less(const Item& a, const Item& b) noexcept {
+  return a.first < b.first;
+}
+
 }  // namespace
 
 struct Service::Shard {
-  struct Slot {
-    std::atomic<Key> key{kEmptyKey};
-    Value value{};
-  };
-
-  // ---- lock-free claim surface -------------------------------------------
-  /// The claim window: up to cfg.batch pre-popped items in ascending key
-  /// order. Live slots hold a user key; kClaimedKey marks a slot a client
-  /// won; kEmptyKey marks past-the-fill slots. Values are written before
-  /// the key's release-store, so a claimant's acquire-load of the key
-  /// makes the value safe to read after a winning CAS.
-  std::vector<Slot> window;
-  /// Best-effort mirror of the smallest live window key (kEmptyKey when
-  /// the window looks drained). The front end's min-of-shards peek reads
-  /// only this word per shard.
+  /// The window head (kEmptyKey when the shard holds nothing). Written
+  /// only under `lock`, after every change to the window; the front end's
+  /// min-of-shards peek reads only this word per shard. Relaxed accesses
+  /// suffice: the peek only picks a shard, and the pop happens under its
+  /// lock.
   alignas(slpq::detail::kCacheLineSize) std::atomic<Key> published_min{
       kEmptyKey};
-  /// Claims completed against the current fill. The refiller waits for
-  /// consumed == filled before overwriting slots, so a claimant may read
-  /// its slot's value between the winning CAS and its fetch_add here.
-  std::atomic<std::uint64_t> consumed{0};
-  /// Relaxed mirror of `backlog` (items still inside the backend). The
-  /// front end reads it to spot a shard whose window drained while items
-  /// remain behind it — such a shard must be refilled before min-of-
-  /// shards comparison, or its (possibly globally smallest) items would
-  /// be starved until every other window drained too.
-  std::atomic<std::size_t> backlog_hint{0};
-  /// Ops applied by this shard (inserts + window claims): load-balance
-  /// signal for pqd.shard_imbalance.
-  std::atomic<std::uint64_t> served{0};
 
-  // ---- lock-guarded state ------------------------------------------------
+  // ---- guarded by `lock` -------------------------------------------------
   alignas(slpq::detail::kCacheLineSize) mutable slpq::detail::TinySpinLock
       lock;
   harness::BenchmarkConfig qcfg;  ///< kept alive for the factory's reference
   std::unique_ptr<harness::QueueHandle> queue;
   /// Value side-table: QueueHandle::delete_min reports only the key, so
-  /// the shard keeps each inserted value keyed by its priority (a vector
-  /// absorbs duplicate keys, FIFO per key) and reunites them at refill.
+  /// the shard keeps each backend item's value keyed by its priority (a
+  /// vector absorbs duplicate keys, FIFO per key) and reunites them when
+  /// the item leaves the backend.
   std::unordered_map<Key, std::vector<Value>> values;
-  std::size_t backlog = 0;      ///< items inside `queue`
-  std::uint64_t filled = 0;     ///< slots published by the current fill
-  std::vector<Item> scratch;    ///< refill staging buffer
+  std::size_t backlog = 0;  ///< items inside `queue`
+  /// The shard's smallest items in ascending key order; the live ones are
+  /// window[head..]. At most `capacity` are live. Over an exact backend,
+  /// no backlog item is smaller than a live window item.
+  std::vector<Item> window;
+  std::size_t head = 0;
+  std::size_t capacity = 0;
   std::uint64_t acquisitions = 0;
   std::uint64_t insert_batches = 0;
   std::uint64_t refills = 0;
   std::uint64_t empty_refills = 0;
-  slpq::detail::LogHistogram occupancy;  ///< ops per lock acquisition
+  std::uint64_t served = 0;  ///< inserts + deletes applied (load balance)
+  slpq::detail::LogHistogram occupancy;  ///< client ops per acquisition
+
+  std::size_t live() const noexcept { return window.size() - head; }
+
+  void to_backend(const Item& item) {
+    harness::OpContext ctx;
+    queue->insert(ctx, item.first, item.second);
+    values[item.first].push_back(item.second);
+    ++backlog;
+  }
+
+  /// Places one inserted item: into the window when it holds the
+  /// shard's whole content and has room, or when the item beats its
+  /// largest live key (which then goes back to the backend if the window
+  /// overflows); otherwise into the backend.
+  void admit(const Item& item) {
+    const bool fits = live() < capacity && backlog == 0;
+    if (!fits && (live() == 0 || item.first >= window.back().first)) {
+      to_backend(item);
+      return;
+    }
+    window.erase(window.begin(), window.begin() + static_cast<long>(head));
+    head = 0;
+    window.insert(std::upper_bound(window.begin(), window.end(), item, key_less),
+                  item);
+    if (live() > capacity) {
+      to_backend(window.back());
+      window.pop_back();
+    }
+  }
+
+  /// Moves up to `capacity` items from the backend into the (drained)
+  /// window.
+  void refill() {
+    harness::OpContext ctx;
+    window.clear();
+    head = 0;
+    while (window.size() < capacity) {
+      const std::optional<Key> k = queue->delete_min(ctx);
+      if (!k) break;
+      auto it = values.find(*k);
+      Value v = 0;
+      if (it != values.end() && !it->second.empty()) {
+        v = it->second.front();
+        it->second.erase(it->second.begin());
+        if (it->second.empty()) values.erase(it);
+      }
+      window.emplace_back(*k, v);
+      --backlog;
+    }
+    // Relaxed backends pop near-minimal, not sorted.
+    std::sort(window.begin(), window.end(), key_less);
+    ++refills;
+    if (window.empty()) ++empty_refills;
+  }
+
+  /// Ends every locked operation: a drained window with items behind it
+  /// refills, then the head is published.
+  void settle() {
+    if (live() == 0 && backlog > 0) refill();
+    published_min.store(live() > 0 ? window[head].first : kEmptyKey,
+                        std::memory_order_relaxed);
+  }
 };
 
 Service::Service(const ServiceConfig& cfg) : cfg_(cfg) {
@@ -98,14 +144,14 @@ Service::Service(const ServiceConfig& cfg) : cfg_(cfg) {
     // client thread holds it, always as logical thread 0.
     s->qcfg.processors = 1;
     // Bounded backends (Hunt heap) size their capacity from these; give
-    // each shard headroom for a skewed split plus its claim window.
+    // each shard headroom for a skewed split plus its window.
     s->qcfg.initial_size =
         cfg_.queue.initial_size / static_cast<std::size_t>(cfg_.shards) +
         static_cast<std::size_t>(cfg_.batch) + 1;
     const harness::BackendInit init{s->qcfg, nullptr};
     s->queue = backend.make(init);
-    s->window = std::vector<Shard::Slot>(static_cast<std::size_t>(cfg_.batch));
-    s->scratch.resize(static_cast<std::size_t>(cfg_.batch));
+    s->capacity = static_cast<std::size_t>(cfg_.batch);
+    s->window.reserve(s->capacity + 1);
     shards_.push_back(std::move(s));
   }
 }
@@ -123,14 +169,13 @@ void Service::seed(Key key, Value value) {
   s.queue->seed(key, value);
   s.values[key].push_back(value);
   ++s.backlog;
-  s.backlog_hint.store(s.backlog, std::memory_order_relaxed);
 }
 
 void Service::prime() {
   for (auto& s : shards_) {
     std::lock_guard<slpq::detail::TinySpinLock> g(s->lock);
     ++s->acquisitions;
-    refill_locked(*s);
+    s->settle();
   }
 }
 
@@ -141,161 +186,17 @@ void Service::insert_batch(const Item* items, std::size_t n,
     if (items[i].first >= kMaxUserKey)
       throw std::invalid_argument("pqd: key out of range");
   Shard& s = shard_for(tag);
-  harness::OpContext ctx;
   std::lock_guard<slpq::detail::TinySpinLock> g(s.lock);
-  for (std::size_t i = 0; i < n; ++i) {
-    s.queue->insert(ctx, items[i].first, items[i].second);
-    s.values[items[i].first].push_back(items[i].second);
-  }
-  s.backlog += n;
-  s.backlog_hint.store(s.backlog, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < n; ++i) s.admit(items[i]);
+  s.settle();
   ++s.acquisitions;
   ++s.insert_batches;
   s.occupancy.record(n);
-  s.served.fetch_add(n, std::memory_order_relaxed);
-}
-
-std::size_t Service::refill_locked(Shard& s) {
-  // Wait out claimants still copying values from the previous fill. A
-  // claimant sits between its winning CAS and its consumed increment for
-  // only a few instructions, but it can be preempted there — hand the
-  // quantum back rather than spinning against it with the lock held.
-  int spins = 0;
-  while (s.consumed.load(std::memory_order_acquire) < s.filled) {
-    if (++spins > 256) {
-      std::this_thread::yield();
-      spins = 0;
-    } else {
-      slpq::detail::cpu_relax();
-    }
-  }
-
-  harness::OpContext ctx;
-  const std::size_t want = s.window.size();
-  std::size_t n = 0;
-  while (n < want) {
-    const std::optional<Key> k = s.queue->delete_min(ctx);
-    if (!k) break;
-    auto it = s.values.find(*k);
-    Value v = 0;
-    if (it != s.values.end() && !it->second.empty()) {
-      v = it->second.front();
-      it->second.erase(it->second.begin());
-      if (it->second.empty()) s.values.erase(it);
-    }
-    s.scratch[n++] = Item{*k, v};
-    --s.backlog;
-  }
-  s.backlog_hint.store(s.backlog, std::memory_order_relaxed);
-  // Relaxed backends pop near-minimal, not sorted; the window's claim
-  // scan assumes ascending keys.
-  std::sort(s.scratch.begin(), s.scratch.begin() + static_cast<long>(n),
-            [](const Item& a, const Item& b) { return a.first < b.first; });
-
-  // Publish: reset the claim count first so no new claim can land against
-  // the old fill's accounting, then value before key (release) per slot.
-  s.filled = n;
-  s.consumed.store(0, std::memory_order_release);
-  for (std::size_t i = 0; i < n; ++i) {
-    s.window[i].value = s.scratch[i].second;
-    s.window[i].key.store(s.scratch[i].first, std::memory_order_release);
-  }
-  for (std::size_t i = n; i < want; ++i)
-    s.window[i].key.store(kEmptyKey, std::memory_order_release);
-  s.published_min.store(n ? s.scratch[0].first : kEmptyKey,
-                        std::memory_order_release);
-  ++s.refills;
-  if (n == 0)
-    ++s.empty_refills;
-  else
-    s.occupancy.record(n);
-  return n;
-}
-
-std::optional<Item> Service::take_from(Shard& s) {
-  const std::size_t wsize = s.window.size();
-  for (;;) {
-    // Windows are sorted at refill, so the first live slot is the shard
-    // minimum (modulo races with other claimants).
-    std::size_t idx = wsize;
-    Key k = kEmptyKey;
-    for (std::size_t i = 0; i < wsize; ++i) {
-      const Key ki = s.window[i].key.load(std::memory_order_acquire);
-      if (ki <= kMaxUserKey) {
-        idx = i;
-        k = ki;
-        break;
-      }
-    }
-    if (idx == wsize) {
-      // Window exhausted: refill under the lock (another thread may have
-      // beaten us to it — recheck before draining the backend).
-      bool refilled_by_other = false;
-      {
-        std::lock_guard<slpq::detail::TinySpinLock> g(s.lock);
-        for (std::size_t i = 0; i < wsize; ++i) {
-          if (s.window[i].key.load(std::memory_order_acquire) <=
-              kMaxUserKey) {
-            refilled_by_other = true;
-            break;
-          }
-        }
-        if (!refilled_by_other) {
-          ++s.acquisitions;
-          if (refill_locked(s) == 0) return std::nullopt;
-        }
-      }
-      continue;
-    }
-    Key expected = k;
-    if (s.window[idx].key.compare_exchange_strong(
-            expected, kClaimedKey, std::memory_order_acq_rel,
-            std::memory_order_relaxed)) {
-      const Value v = s.window[idx].value;
-      // Advance the published head past the slot we just took (hint
-      // only: racy overwrites are tolerated by the front end).
-      Key next = kEmptyKey;
-      for (std::size_t j = idx + 1; j < wsize; ++j) {
-        const Key kj = s.window[j].key.load(std::memory_order_relaxed);
-        if (kj <= kMaxUserKey) {
-          next = kj;
-          break;
-        }
-      }
-      s.published_min.store(next, std::memory_order_relaxed);
-      s.consumed.fetch_add(1, std::memory_order_release);
-      s.served.fetch_add(1, std::memory_order_relaxed);
-      return Item{k, v};
-    }
-    // Lost the claim race; rescan.
-  }
+  s.served += n;
 }
 
 std::optional<Item> Service::delete_min() {
   for (;;) {
-    // A drained window with items still behind it publishes kEmptyKey,
-    // which would silently drop the shard from the min comparison — and
-    // its backlog may hold the global minimum. Refill such shards before
-    // peeking. (The refill would happen anyway on that shard's next
-    // claim; doing it here just moves it before the comparison, so the
-    // acquisition count is unchanged.)
-    for (auto& s : shards_) {
-      if (s->published_min.load(std::memory_order_relaxed) == kEmptyKey &&
-          s->backlog_hint.load(std::memory_order_relaxed) > 0) {
-        std::lock_guard<slpq::detail::TinySpinLock> g(s->lock);
-        bool live = false;
-        for (const auto& slot : s->window) {
-          if (slot.key.load(std::memory_order_acquire) <= kMaxUserKey) {
-            live = true;  // someone refilled while we waited on the lock
-            break;
-          }
-        }
-        if (!live && s->backlog > 0) {
-          ++s->acquisitions;
-          refill_locked(*s);
-        }
-      }
-    }
     // Min-of-shards peek: one relaxed load per shard.
     Shard* best = nullptr;
     Key best_key = kEmptyKey;
@@ -306,16 +207,15 @@ std::optional<Item> Service::delete_min() {
         best = s.get();
       }
     }
-    if (best != nullptr) {
-      if (std::optional<Item> item = take_from(*best)) return item;
-      continue;  // that shard drained under us; rescan the hints
-    }
-    // Every hint says empty and no backlog hint fired. Hints are still
-    // best-effort, so sweep each shard through take_from — which refills
-    // from the backend under the lock — before conceding EMPTY.
-    for (auto& s : shards_)
-      if (std::optional<Item> item = take_from(*s)) return item;
-    return std::nullopt;
+    if (best == nullptr) return std::nullopt;
+    std::lock_guard<slpq::detail::TinySpinLock> g(best->lock);
+    ++best->acquisitions;
+    if (best->live() == 0) continue;  // drained since the peek
+    const Item item = best->window[best->head++];
+    best->settle();
+    best->occupancy.record(1);
+    ++best->served;
+    return item;
   }
 }
 
@@ -323,9 +223,7 @@ std::size_t Service::size() const {
   std::size_t total = 0;
   for (const auto& s : shards_) {
     std::lock_guard<slpq::detail::TinySpinLock> g(s->lock);
-    total += s->backlog;
-    for (const auto& slot : s->window)
-      if (slot.key.load(std::memory_order_acquire) <= kMaxUserKey) ++total;
+    total += s->backlog + s->live();
   }
   return total;
 }
@@ -345,7 +243,7 @@ slpq::TelemetrySnapshot Service::telemetry() const {
     refills += s->refills;
     empty_refills += s->empty_refills;
     occupancy.merge(s->occupancy);
-    served.push_back(s->served.load(std::memory_order_relaxed));
+    served.push_back(s->served);
     const slpq::TelemetrySnapshot shard_snap = s->queue->telemetry();
     for (const auto& e : shard_snap.entries) {
       if (is_stat_key(e.first))
@@ -368,7 +266,7 @@ slpq::TelemetrySnapshot Service::telemetry() const {
   snap.set("pqd.batch_occupancy.max", occupancy.max());
 
   // Load balance across shards: max/mean in percent (100 == perfectly
-  // even). Ops counted are inserts applied plus window claims served.
+  // even). Ops counted are inserts applied plus deletes served.
   std::uint64_t max_served = 0, sum_served = 0;
   for (const std::uint64_t v : served) {
     max_served = std::max(max_served, v);

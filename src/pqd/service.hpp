@@ -2,25 +2,23 @@
 //
 // N independent shards, each wrapping one registry-backed QueueHandle
 // (any native structure: exact skiplists, relaxed MultiQueues, ...)
-// behind a single-byte spinlock. Amortization comes from two window
-// mechanisms so that one shard-lock acquisition serves up to `batch`
-// operations on BOTH sides of the op mix:
+// behind a single-byte spinlock. Every shard operation runs under that
+// lock. A shard keeps its smallest items — up to `batch` of them, sorted —
+// in a window in front of the backend:
 //
 //   * insert side — sessions batch enqueues (transport.hpp) and the
-//     service applies each batch under one lock hold;
-//   * delete side — each shard keeps a claim window of up to `batch`
-//     pre-popped items in sorted order. Clients claim window slots with
-//     a single CAS (no lock); the lock is taken only to refill an empty
-//     window from the backend.
+//     service applies each batch under one lock hold; an item smaller
+//     than the window's largest goes straight into the window;
+//   * delete side — a delete pops the window head under the lock and
+//     refills the window from the backend when it empties.
 //
-// The front-end delete_min is min-of-shards: scan each shard's published
-// window head (one relaxed load per shard), then CAS-claim from the best
-// shard. The published heads are best-effort hints — a race can hand out
-// a key that is not the instantaneous global minimum, and freshly
-// batched inserts are invisible until applied — so the service's
-// ordering contract is relaxed with error bounded by the window/batch
-// geometry on top of whatever the backend itself guarantees
-// (docs/SERVICE.md gives the composed bound).
+// Each shard publishes its window head after every operation, so at
+// every unlock the published key is the shard's minimum (exactly so over
+// an exact backend). The front-end delete_min is min-of-shards: read
+// each shard's published head, lock the best shard and pop its head. A
+// concurrent op can change the heads between the read and the lock, so
+// across shards the order is relaxed by the in-flight ops and by inserts
+// still pending in sessions (docs/SERVICE.md gives the bound).
 #pragma once
 
 #include <atomic>
@@ -43,9 +41,8 @@ namespace pqd {
 struct ServiceConfig {
   std::string backend = "skip";  ///< native BackendRegistry name (--pqd-backend)
   int shards = 4;                ///< independent shard count (--pqd-shards)
-  int batch = 8;                 ///< ops per shard acquisition: session insert
-                                 ///< batch size AND claim-window size (--pqd-batch)
-  int ring_capacity = 64;        ///< per-session SPSC ring slots (--pqd-ring)
+  int batch = 8;                 ///< session insert batch size AND shard
+                                 ///< window size (--pqd-batch)
   /// Backend knobs for the per-shard queues (max_level, reclaim, mq_*,
   /// total_ops/initial_size for capacity sizing of bounded backends).
   /// processors is overridden to 1: all shard-queue access happens under
@@ -65,7 +62,7 @@ class Service {
   int shards() const noexcept { return static_cast<int>(shards_.size()); }
 
   /// Host-side pre-population (round-robin over shards); call before any
-  /// client traffic, then prime() once to fill the claim windows.
+  /// client traffic, then prime() once to fill the shard windows.
   void seed(Key key, Value value);
   void prime();
 
@@ -75,13 +72,13 @@ class Service {
   /// (throws std::invalid_argument otherwise).
   void insert_batch(const Item* items, std::size_t n, std::uint64_t tag);
 
-  /// Min-of-shards pop: peek every shard's published window head, claim
-  /// from the best one. nullopt only after an exhaustive sweep found
-  /// every window and every backend empty.
+  /// Min-of-shards pop: read every shard's published window head, lock
+  /// the best shard and pop its head. nullopt iff every shard published
+  /// empty.
   std::optional<Item> delete_min();
 
-  /// Unclaimed items across windows and shard backlogs. Quiescent-state
-  /// accurate; a snapshot under concurrent traffic.
+  /// Items across windows and shard backlogs. Quiescent-state accurate;
+  /// a snapshot under concurrent traffic.
   std::size_t size() const;
 
   /// pqd.* service counters plus the aggregated shard-backend telemetry
@@ -93,12 +90,6 @@ class Service {
   struct Shard;
 
   Shard& shard_for(std::uint64_t tag) noexcept;
-  /// Claims one item from this shard's window, refilling from the
-  /// backend as needed. nullopt iff window and backend are both empty.
-  std::optional<Item> take_from(Shard& s);
-  /// Refills the window under the shard lock. Returns the number of
-  /// items published (0 iff the backend is drained).
-  std::size_t refill_locked(Shard& s);
 
   ServiceConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;

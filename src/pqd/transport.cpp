@@ -1,4 +1,5 @@
-// pqd transport implementations: in-process rings and the UDS stub.
+// pqd transport implementations: the session Batcher, the in-process
+// transport and the UDS stub.
 #include "pqd/transport.hpp"
 
 #include <sys/socket.h>
@@ -6,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <stdexcept>
 
@@ -50,16 +52,47 @@ bool read_full(int fd, std::uint8_t* buf, std::size_t n) {
 
 }  // namespace
 
+// ---- Batcher ---------------------------------------------------------------
+
+Batcher::Batcher(Service& service, std::uint64_t tag)
+    : service_(service),
+      batch_(static_cast<std::size_t>(service.config().batch)),
+      tag_(tag) {
+  pending_.reserve(batch_);
+}
+
+void Batcher::flush() {
+  if (pending_.empty()) return;
+  service_.insert_batch(pending_.data(), pending_.size(), tag_++);
+  pending_.clear();
+}
+
+std::optional<Response> Batcher::apply(const Request& req) {
+  switch (req.op) {
+    case OpKind::kInsert:
+      pending_.emplace_back(req.key, req.value);
+      if (pending_.size() >= batch_) flush();
+      return std::nullopt;
+    case OpKind::kDeleteMin:
+      flush();
+      if (const std::optional<Item> item = service_.delete_min())
+        return Response{Status::kOk, item->first, item->second};
+      return Response{Status::kEmpty, 0, 0};
+    case OpKind::kFlush:
+      flush();
+      return Response{Status::kOk, 0, 0};
+  }
+  throw std::logic_error("pqd: unknown request op");
+}
+
 // ---- InProcTransport -------------------------------------------------------
 
 struct InProcTransport::SessionState {
-  slpq::detail::SpscRing<Request> requests;
-  slpq::detail::SpscRing<Response> responses;
-  std::vector<Item> pending;  ///< insert batch staged during drain
-  std::uint64_t tag;          ///< shard-rotation tag, advanced per batch
+  Batcher batcher;
+  std::deque<Response> replies;  ///< sync-op responses awaiting await()
 
-  SessionState(std::size_t ring_capacity, std::uint64_t tag0)
-      : requests(ring_capacity), responses(ring_capacity), tag(tag0) {}
+  SessionState(Service& service, std::uint64_t tag0)
+      : batcher(service, tag0) {}
 };
 
 InProcTransport::InProcTransport(Service& service, std::size_t max_sessions)
@@ -80,88 +113,30 @@ int InProcTransport::open_session() {
     if (!sessions_[i]) {
       // Seed each session's rotation tag a golden-ratio stride apart so
       // concurrent sessions start their shard round-robins spread out.
-      sessions_[i] = std::make_unique<SessionState>(
-          static_cast<std::size_t>(service_.config().ring_capacity),
-          i * kTagStride);
+      sessions_[i] = std::make_unique<SessionState>(service_, i * kTagStride);
       return static_cast<int>(i);
     }
   }
   throw std::runtime_error("pqd: session table full");
 }
 
-void InProcTransport::drain(SessionState& s) {
-  const std::size_t batch = static_cast<std::size_t>(service_.config().batch);
-  Request req;
-  while (s.requests.try_pop(req)) {
-    switch (req.op) {
-      case OpKind::kInsert:
-        s.pending.emplace_back(req.key, req.value);
-        if (s.pending.size() >= batch) {
-          service_.insert_batch(s.pending.data(), s.pending.size(), s.tag++);
-          s.pending.clear();
-        }
-        break;
-      case OpKind::kDeleteMin: {
-        if (!s.pending.empty()) {
-          service_.insert_batch(s.pending.data(), s.pending.size(), s.tag++);
-          s.pending.clear();
-        }
-        Response resp;
-        if (const std::optional<Item> item = service_.delete_min()) {
-          resp = Response{Status::kOk, item->first, item->second};
-        } else {
-          resp = Response{Status::kEmpty, 0, 0};
-        }
-        if (!s.responses.try_push(resp))
-          throw std::logic_error("pqd: response ring overflow");
-        break;
-      }
-      case OpKind::kFlush: {
-        if (!s.pending.empty()) {
-          service_.insert_batch(s.pending.data(), s.pending.size(), s.tag++);
-          s.pending.clear();
-        }
-        if (!s.responses.try_push(Response{Status::kOk, 0, 0}))
-          throw std::logic_error("pqd: response ring overflow");
-        break;
-      }
-    }
-  }
-  // Whatever reached the ring is applied by the end of a drain: drains
-  // fire exactly at batch boundaries and before synchronous ops, so a
-  // trailing partial batch only exists when a sync op forced it anyway.
-  if (!s.pending.empty()) {
-    service_.insert_batch(s.pending.data(), s.pending.size(), s.tag++);
-    s.pending.clear();
-  }
-}
-
 void InProcTransport::submit(int sid, const Request& req) {
   SessionState& s = state(sid);
-  if (!s.requests.try_push(req)) {
-    drain(s);  // ring full: catch up, then retry
-    if (!s.requests.try_push(req))
-      throw std::logic_error("pqd: request ring overflow after drain");
-  }
-  // Batch boundary or synchronous op: execute now, on this thread (the
-  // server-local fast path — no handoff, the ring delimits the batch).
-  if (req.op != OpKind::kInsert ||
-      s.requests.size() >=
-          static_cast<std::size_t>(service_.config().batch))
-    drain(s);
+  if (std::optional<Response> resp = s.batcher.apply(req))
+    s.replies.push_back(*resp);
 }
 
 Response InProcTransport::await(int sid) {
   SessionState& s = state(sid);
-  Response resp;
-  if (!s.responses.try_pop(resp))
+  if (s.replies.empty())
     throw std::logic_error("pqd: await with no pending response");
+  const Response resp = s.replies.front();
+  s.replies.pop_front();
   return resp;
 }
 
 void InProcTransport::close_session(int sid) {
-  SessionState& s = state(sid);
-  drain(s);
+  state(sid).batcher.flush();
   std::lock_guard<slpq::detail::TinySpinLock> g(open_lock_);
   sessions_[static_cast<std::size_t>(sid)].reset();
 }
@@ -211,43 +186,17 @@ int UdsTransport::open_session() {
 }
 
 void UdsTransport::serve(int fd, std::uint64_t tag0) {
-  std::uint64_t tag = tag0;
-  const std::size_t batch = static_cast<std::size_t>(service_.config().batch);
-  std::vector<Item> pending;
+  Batcher batcher(service_, tag0);
   std::uint8_t rec[kWireRecordSize];
-  const auto apply_pending = [&] {
-    if (pending.empty()) return;
-    service_.insert_batch(pending.data(), pending.size(), tag++);
-    pending.clear();
-  };
   while (read_full(fd, rec, kWireRecordSize)) {
     Request req;
     if (!decode_request(rec, req)) break;  // protocol error: drop session
-    switch (req.op) {
-      case OpKind::kInsert:
-        pending.emplace_back(req.key, req.value);
-        if (pending.size() >= batch) apply_pending();
-        break;
-      case OpKind::kDeleteMin: {
-        apply_pending();
-        Response resp{Status::kEmpty, 0, 0};
-        if (const std::optional<Item> item = service_.delete_min())
-          resp = Response{Status::kOk, item->first, item->second};
-        std::uint8_t out[kWireRecordSize];
-        encode_response(resp, out);
-        write_all(fd, out, kWireRecordSize);
-        break;
-      }
-      case OpKind::kFlush: {
-        apply_pending();
-        std::uint8_t out[kWireRecordSize];
-        encode_response(Response{Status::kOk, 0, 0}, out);
-        write_all(fd, out, kWireRecordSize);
-        break;
-      }
+    if (const std::optional<Response> resp = batcher.apply(req)) {
+      encode_response(*resp, rec);
+      write_all(fd, rec, kWireRecordSize);
     }
   }
-  apply_pending();  // client hung up: land the trailing partial batch
+  batcher.flush();  // client hung up: land the trailing partial batch
   ::close(fd);
 }
 

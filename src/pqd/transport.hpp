@@ -1,27 +1,23 @@
 // pqd transports and the client Session.
 //
 // A Transport moves Requests from client sessions to the Service and
-// Responses back. Two implementations share the interface:
+// Responses back. Both implementations hand each session's requests, in
+// order, to one Batcher, which groups inserts into batches and applies
+// them to the Service:
 //
-//   * InProcTransport — the in-process fast path. Each session owns an
-//     SPSC request ring and an SPSC response ring; the client thread
-//     produces requests and, when a batch's worth has accumulated (or a
-//     synchronous op arrives), drains its own ring and executes against
-//     the Service directly. No server thread, no copy across address
-//     spaces — the rings exist to delimit batches and to keep the client
-//     API identical to the socket path.
+//   * InProcTransport — the in-process fast path. The client thread runs
+//     its session's Batcher itself: no server thread, no request queue.
 //
 //   * UdsTransport — the socket stub. Each session is an AF_UNIX
 //     socketpair with a dedicated server thread on the far end speaking
 //     the pqd-wire/1 record format (request.hpp). The client buffers
 //     encoded inserts and writes them in one syscall per batch; the
-//     server accumulates inserts and applies each batch under one shard
-//     acquisition, answering DeleteMin/Flush synchronously.
+//     server thread runs the session's Batcher.
 //
 // Per-session ordering: a session's inserts are applied before any later
 // DeleteMin/Flush from that session; there is no cross-session order.
 // A Session object wraps (transport, session id) behind enqueue/dequeue/
-// flush; sessions are single-threaded by contract (SPSC on both rings).
+// flush; sessions are single-threaded by contract.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +29,30 @@
 #include "pqd/request.hpp"
 #include "pqd/service.hpp"
 #include "slpq/detail/spinlock.hpp"
-#include "slpq/detail/spsc_ring.hpp"
 
 namespace pqd {
+
+/// One session's server side: stages inserts and applies them to the
+/// Service as one insert_batch per `batch` items, each batch to the next
+/// shard in the session's rotation.
+class Batcher {
+ public:
+  Batcher(Service& service, std::uint64_t tag);
+
+  /// Applies one request. An insert is staged (and lands with its
+  /// batch); DeleteMin and Flush apply the staged inserts first and
+  /// return their Response.
+  std::optional<Response> apply(const Request& req);
+
+  /// Applies the staged inserts, a trailing partial batch.
+  void flush();
+
+ private:
+  Service& service_;
+  std::size_t batch_;
+  std::vector<Item> pending_;
+  std::uint64_t tag_;  ///< shard-rotation tag, advanced per batch
+};
 
 class Transport {
  public:
@@ -115,9 +132,6 @@ class InProcTransport final : public Transport {
  private:
   struct SessionState;
   SessionState& state(int sid);
-  /// Drains the session's request ring on the client thread: groups
-  /// inserts into insert_batch calls, executes sync ops, pushes replies.
-  void drain(SessionState& s);
 
   Service& service_;
   slpq::detail::TinySpinLock open_lock_;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace {
@@ -39,7 +40,6 @@ TEST(PqdService, RejectsBadGeometry) {
 TEST(PqdService, RejectsOutOfRangeKeys) {
   Service svc(make_config("skip", 2, 4));
   EXPECT_THROW(svc.seed(pqd::kEmptyKey, 0), std::invalid_argument);
-  EXPECT_THROW(svc.seed(pqd::kClaimedKey, 0), std::invalid_argument);
   const Item bad{pqd::kMaxUserKey, 1};
   EXPECT_THROW(svc.insert_batch(&bad, 1, 0), std::invalid_argument);
 }
@@ -51,33 +51,53 @@ TEST(PqdService, EmptyServiceReportsEmpty) {
   EXPECT_FALSE(svc.delete_min().has_value());
 }
 
-// Single-threaded, each shard's window head is that shard's true minimum
-// (windows hold the shard's `batch` smallest items, sorted), so the
-// min-of-shards front end must produce a globally sorted drain — for any
-// geometry and for exact backends.
+// Single-threaded, each shard's published head is that shard's true
+// minimum at every unlock (the window holds the shard's smallest items,
+// sorted, and smaller inserts merge into it), so the min-of-shards front
+// end must produce a globally sorted drain — for any geometry and for
+// exact backends, including when inserts after prime() undercut every
+// window.
 TEST(PqdService, SingleThreadedDrainIsSorted) {
   for (int shards : {1, 3, 4}) {
     for (int batch : {1, 4, 8}) {
-      Service svc(make_config("skip", shards, batch));
-      // Seed a scrambled key set.
-      std::vector<Key> keys;
-      for (Key k = 0; k < 200; ++k)
-        keys.push_back((k * 7919) % 1000 * 4 + (k & 3));
-      for (Key k : keys) svc.seed(k, static_cast<Value>(k) + 1);
-      svc.prime();
-      EXPECT_EQ(svc.size(), keys.size());
+      for (bool late_small_inserts : {false, true}) {
+        Service svc(make_config("skip", shards, batch));
+        // Seed a scrambled key set (all >= 100).
+        std::vector<Key> keys;
+        for (Key k = 0; k < 200; ++k)
+          keys.push_back(100 + (k * 7919) % 1000 * 4 + (k & 3));
+        for (Key k : keys) svc.seed(k, static_cast<Value>(k) + 1);
+        svc.prime();
+        if (late_small_inserts) {
+          // Keys below every primed window, in small batches that rotate
+          // over the shards.
+          std::vector<Item> small;
+          for (Key k = 0; k < 50; ++k) {
+            const Key key = (k * 37) % 50 * 2;
+            small.emplace_back(key, static_cast<Value>(key) + 1);
+            keys.push_back(key);
+          }
+          for (std::size_t i = 0; i < small.size(); i += 3)
+            svc.insert_batch(small.data() + i,
+                             std::min<std::size_t>(3, small.size() - i), i);
+        }
+        EXPECT_EQ(svc.size(), keys.size());
 
-      std::vector<Key> drained;
-      while (const std::optional<Item> got = svc.delete_min())
-        drained.push_back(got->first);
+        std::vector<Key> drained;
+        while (const std::optional<Item> got = svc.delete_min()) {
+          EXPECT_EQ(got->second, static_cast<Value>(got->first) + 1);
+          drained.push_back(got->first);
+        }
 
-      ASSERT_EQ(drained.size(), keys.size())
-          << "shards=" << shards << " batch=" << batch;
-      EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end()))
-          << "shards=" << shards << " batch=" << batch;
-      std::sort(keys.begin(), keys.end());
-      EXPECT_EQ(drained, keys);
-      EXPECT_EQ(svc.size(), 0u);
+        const std::string where = "shards=" + std::to_string(shards) +
+                                  " batch=" + std::to_string(batch) +
+                                  " late=" + std::to_string(late_small_inserts);
+        ASSERT_EQ(drained.size(), keys.size()) << where;
+        EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end())) << where;
+        std::sort(keys.begin(), keys.end());
+        EXPECT_EQ(drained, keys) << where;
+        EXPECT_EQ(svc.size(), 0u);
+      }
     }
   }
 }

@@ -1,5 +1,6 @@
 // Transport/session tests: in-process batching semantics, per-session
-// ordering, conservation under concurrent clients, and the UDS stub.
+// ordering, one-client exactness against a resident-set oracle,
+// conservation under concurrent clients, and the UDS stub.
 #include "pqd/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -7,8 +8,12 @@
 #include <atomic>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "harness/trace.hpp"
+#include "harness/workload_spec.hpp"
 
 namespace {
 
@@ -96,10 +101,57 @@ TEST(InProc, SessionTableRecyclesSlots) {
   EXPECT_EQ(transport.open_session(), a);
 }
 
+// One client sees the service as an exact priority queue: its own pending
+// inserts are applied before each dequeue and nothing else runs, so every
+// dequeue of the committed sample trace must return the exact resident
+// minimum, for any shard count and window size.
+TEST(InProc, OneClientReplayDequeuesExactMinimum) {
+  const harness::Trace trace = harness::Trace::load(
+      std::string(SLPQ_SOURCE_DIR) + "/bench/traces/sample_des.trace");
+  for (int shards : {1, 4}) {
+    for (int batch : {1, 8}) {
+      Service svc(make_config(shards, batch));
+      std::multiset<Key> resident;
+      for (const harness::TraceOp& w : trace.warm) {
+        const Key key = harness::spec::scenario_key(w.tick, w.tie);
+        svc.seed(key, static_cast<Value>(key) + 1);
+        resident.insert(key);
+      }
+      svc.prime();
+      InProcTransport transport(svc, 2);
+      Session session(transport);
+      std::size_t dequeues = 0, misses = 0;
+      for (const harness::TraceOp& op : trace.ops) {
+        if (op.kind == harness::TraceOp::Kind::kInsert) {
+          const Key key = harness::spec::scenario_key(op.tick, op.tie);
+          session.enqueue(key, static_cast<Value>(key) + 1);
+          resident.insert(key);
+          continue;
+        }
+        ++dequeues;
+        const std::optional<Item> got = session.dequeue();
+        if (resident.empty()) {
+          EXPECT_FALSE(got.has_value());
+          continue;
+        }
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->second, static_cast<Value>(got->first) + 1);
+        if (got->first != *resident.begin()) ++misses;
+        const auto it = resident.find(got->first);
+        ASSERT_NE(it, resident.end()) << "unknown key " << got->first;
+        resident.erase(it);
+      }
+      EXPECT_EQ(misses, 0u) << "shards=" << shards << " batch=" << batch
+                            << ": " << misses << " of " << dequeues
+                            << " dequeues missed the minimum";
+    }
+  }
+}
+
 TEST(InProc, ConservationUnderConcurrentClients) {
   // C clients each push K items and pop D: afterwards the service must
   // hold exactly C*(K-D) items and every popped key must be one that was
-  // pushed (claim windows must not duplicate or invent items).
+  // pushed (shard windows must not duplicate or invent items).
   constexpr int kClients = 8;
   constexpr int kPush = 600;
   constexpr int kPop = 400;

@@ -69,10 +69,8 @@ TEST(Wire, RejectsUnknownOpcodeAndStatus) {
 }
 
 TEST(Wire, SentinelOrdering) {
-  // Claim-window sentinels must sit above every legal user key, claimed
-  // below empty (the claim scan tests `<= kMaxUserKey`).
-  EXPECT_LT(kMaxUserKey, kClaimedKey);
-  EXPECT_LT(kClaimedKey, kEmptyKey);
+  // The empty-shard sentinel must sit above every legal user key.
+  EXPECT_LT(kMaxUserKey, kEmptyKey);
   EXPECT_EQ(kEmptyKey, std::numeric_limits<Key>::max());
 }
 

@@ -4,12 +4,12 @@
 // recorded trace (docs/TRACES.md): the warm set seeds the service, the op
 // schedule is block-partitioned across client threads exactly like the
 // harness trace_loop, and every enqueue/dequeue is timed client-side —
-// so the reported pqd.latency.* quantiles include ring, batching and
+// so the reported pqd.latency.* quantiles include session batching and
 // shard-acquisition effects, not just the backend's critical section.
 // Delete-min quality is sampled through the shared RankErrorProbe and
-// reported as pqd.rank_error.* (the service is relaxed by construction:
-// claim windows + min-of-shards hints + batched inserts all defer or
-// approximate, on top of whatever the shard backend relaxes).
+// reported as pqd.rank_error.* (across clients the service is relaxed:
+// other sessions' pending inserts and ops racing the min-of-shards peek
+// show up here, on top of whatever the shard backend relaxes).
 //
 // Also the trace recorder: --emit-trace writes a hold-model trace
 // (Trace::record_hold_model) instead of running the service.
@@ -56,7 +56,6 @@ struct Options {
   std::vector<std::string> backends{"skip"};
   int shards = 4;
   int batch = 8;
-  int ring = 64;
   std::string transport = "inproc";
   int clients = 8;
   std::uint64_t seed = 1;
@@ -79,8 +78,7 @@ struct Options {
       "  --insert-ratio R      insert probability (emit mode) [0.5]\n"
       "  --pqd-backend LIST    comma-separated native backends [skip]\n"
       "  --pqd-shards N        service shards [4]\n"
-      "  --pqd-batch N         ops per shard acquisition [8]\n"
-      "  --pqd-ring N          session ring capacity [64]\n"
+      "  --pqd-batch N         session insert batch and shard window [8]\n"
       "  --pqd-transport T     inproc | uds [inproc]\n"
       "  --clients N           client threads (sessions) [8]\n"
       "  --reclaim P           shard reclaim policy (ts|hp|epoch|leaky)\n"
@@ -110,7 +108,6 @@ ReplayOutcome replay(const Options& opt, const std::string& backend,
   scfg.backend = backend;
   scfg.shards = opt.shards;
   scfg.batch = opt.batch;
-  scfg.ring_capacity = opt.ring;
   scfg.queue.reclaim = opt.reclaim;
   scfg.queue.max_level = opt.max_level;
   scfg.queue.seed = opt.seed;
@@ -300,7 +297,6 @@ int main(int argc, char** argv) {
       }
       else if (arg == "--pqd-shards") opt.shards = std::atoi(next(i));
       else if (arg == "--pqd-batch") opt.batch = std::atoi(next(i));
-      else if (arg == "--pqd-ring") opt.ring = std::atoi(next(i));
       else if (arg == "--pqd-transport") opt.transport = next(i);
       else if (arg == "--clients") opt.clients = std::atoi(next(i));
       else if (arg == "--seed") opt.seed = std::strtoull(next(i), nullptr, 10);
