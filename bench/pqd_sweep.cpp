@@ -168,7 +168,7 @@ int main() {
   const harness::Trace trace =
       harness::Trace::record_hold_model(ops, 1000, 0.5, 42);
 
-  const std::vector<std::string> backends{"skip", "multiqueue"};
+  const std::vector<std::string> backends{"globallock", "skip", "multiqueue"};
   const std::vector<int> shard_counts{2, 4, 8};
   const std::vector<int> batches{1, 4, 16};
   const std::vector<int> client_counts{4, 8};

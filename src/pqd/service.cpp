@@ -47,10 +47,10 @@ struct Service::Shard {
   harness::BenchmarkConfig qcfg;  ///< kept alive for the factory's reference
   std::unique_ptr<harness::QueueHandle> queue;
   /// Value side-table: QueueHandle::delete_min reports only the key, so
-  /// the shard keeps each backend item's value keyed by its priority (a
-  /// vector absorbs duplicate keys, FIFO per key) and reunites them when
-  /// the item leaves the backend.
-  std::unordered_map<Key, std::vector<Value>> values;
+  /// the shard keeps one node per backend item, keyed by its priority, and
+  /// reunites key and value when the item leaves the backend. Which value
+  /// an equal key gets back is unspecified.
+  std::unordered_multimap<Key, Value> values;
   std::size_t backlog = 0;  ///< items inside `queue`
   /// The shard's smallest items in ascending key order; the live ones are
   /// window[head..]. At most `capacity` are live. Over an exact backend,
@@ -67,10 +67,23 @@ struct Service::Shard {
 
   std::size_t live() const noexcept { return window.size() - head; }
 
-  void to_backend(const Item& item) {
+  /// Stores an item in the backend (`seeding` before any client traffic).
+  /// Backends that update an equal key in place (skip, relaxed) keep the
+  /// newest value and no new item, so neither does the value table; the
+  /// size check runs only when the key is already present.
+  void to_backend(const Item& item, bool seeding = false) {
+    const auto same = values.find(item.first);
+    const std::size_t before = same == values.end() ? 0 : queue->final_size();
     harness::OpContext ctx;
-    queue->insert(ctx, item.first, item.second);
-    values[item.first].push_back(item.second);
+    if (seeding)
+      queue->seed(item.first, item.second);
+    else
+      queue->insert(ctx, item.first, item.second);
+    if (same != values.end() && queue->final_size() == before) {
+      same->second = item.second;
+      return;
+    }
+    values.insert(item);
     ++backlog;
   }
 
@@ -103,14 +116,9 @@ struct Service::Shard {
     while (window.size() < capacity) {
       const std::optional<Key> k = queue->delete_min(ctx);
       if (!k) break;
-      auto it = values.find(*k);
-      Value v = 0;
-      if (it != values.end() && !it->second.empty()) {
-        v = it->second.front();
-        it->second.erase(it->second.begin());
-        if (it->second.empty()) values.erase(it);
-      }
-      window.emplace_back(*k, v);
+      const auto it = values.find(*k);
+      window.emplace_back(*k, it->second);
+      values.erase(it);
       --backlog;
     }
     // Relaxed backends pop near-minimal, not sorted.
@@ -166,9 +174,7 @@ void Service::seed(Key key, Value value) {
   if (key >= kMaxUserKey) throw std::invalid_argument("pqd: key out of range");
   Shard& s = shard_for(seed_rr_.fetch_add(1, std::memory_order_relaxed));
   std::lock_guard<slpq::detail::TinySpinLock> g(s.lock);
-  s.queue->seed(key, value);
-  s.values[key].push_back(value);
-  ++s.backlog;
+  s.to_backend({key, value}, /*seeding=*/true);
 }
 
 void Service::prime() {

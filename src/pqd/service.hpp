@@ -1,10 +1,11 @@
 // pqd::Service — the sharded priority-queue service core.
 //
 // N independent shards, each wrapping one registry-backed QueueHandle
-// (any native structure: exact skiplists, relaxed MultiQueues, ...)
-// behind a single-byte spinlock. Every shard operation runs under that
-// lock. A shard keeps its smallest items — up to `batch` of them, sorted —
-// in a window in front of the backend:
+// (a sequential binary heap by default, or any native structure: exact
+// skiplists, relaxed MultiQueues, ...) behind a single-byte spinlock.
+// Every shard operation runs under that lock. A shard keeps its smallest
+// items — up to `batch` of them, sorted — in a window in front of the
+// backend:
 //
 //   * insert side — sessions batch enqueues (transport.hpp) and the
 //     service applies each batch under one lock hold; an item smaller
@@ -39,10 +40,12 @@
 namespace pqd {
 
 struct ServiceConfig {
-  std::string backend = "skip";  ///< native BackendRegistry name (--pqd-backend)
-  int shards = 4;                ///< independent shard count (--pqd-shards)
-  int batch = 8;                 ///< session insert batch size AND shard
-                                 ///< window size (--pqd-batch)
+  /// Native BackendRegistry name (--pqd-backend). The shard lock already
+  /// serializes every backend call, so the default is a sequential heap.
+  std::string backend = "globallock";
+  int shards = 4;  ///< independent shard count (--pqd-shards)
+  int batch = 8;   ///< session insert batch size AND shard window size
+                   ///< (--pqd-batch)
   /// Backend knobs for the per-shard queues (max_level, reclaim, mq_*,
   /// total_ops/initial_size for capacity sizing of bounded backends).
   /// processors is overridden to 1: all shard-queue access happens under

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -73,7 +74,11 @@ void hammer(const std::string& backend, int shards, int batch, int clients,
       EXPECT_TRUE(seen.insert(k).second) << backend << " dup key " << k;
 }
 
-TEST(PqdStress, ExactBackendManyClients) { hammer("skip", 4, 8, 8, 2000); }
+TEST(PqdStress, ExactBackendManyClients) {
+  for (const std::string& backend : {pqd::ServiceConfig{}.backend,
+                                     std::string("skip")})
+    hammer(backend, 4, 8, 8, 2000);
+}
 
 TEST(PqdStress, RelaxedBackendManyClients) {
   hammer("multiqueue", 4, 8, 8, 2000);

@@ -55,48 +55,52 @@ TEST(PqdService, EmptyServiceReportsEmpty) {
 // minimum at every unlock (the window holds the shard's smallest items,
 // sorted, and smaller inserts merge into it), so the min-of-shards front
 // end must produce a globally sorted drain — for any geometry and for
-// exact backends, including when inserts after prime() undercut every
-// window.
+// exact backends (the default and `skip`), including when inserts after
+// prime() undercut every window.
 TEST(PqdService, SingleThreadedDrainIsSorted) {
-  for (int shards : {1, 3, 4}) {
-    for (int batch : {1, 4, 8}) {
-      for (bool late_small_inserts : {false, true}) {
-        Service svc(make_config("skip", shards, batch));
-        // Seed a scrambled key set (all >= 100).
-        std::vector<Key> keys;
-        for (Key k = 0; k < 200; ++k)
-          keys.push_back(100 + (k * 7919) % 1000 * 4 + (k & 3));
-        for (Key k : keys) svc.seed(k, static_cast<Value>(k) + 1);
-        svc.prime();
-        if (late_small_inserts) {
-          // Keys below every primed window, in small batches that rotate
-          // over the shards.
-          std::vector<Item> small;
-          for (Key k = 0; k < 50; ++k) {
-            const Key key = (k * 37) % 50 * 2;
-            small.emplace_back(key, static_cast<Value>(key) + 1);
-            keys.push_back(key);
+  for (const std::string& backend : {ServiceConfig{}.backend,
+                                     std::string("skip")}) {
+    for (int shards : {1, 3, 4}) {
+      for (int batch : {1, 4, 8}) {
+        for (bool late_small_inserts : {false, true}) {
+          Service svc(make_config(backend, shards, batch));
+          // Seed a scrambled key set (all >= 100).
+          std::vector<Key> keys;
+          for (Key k = 0; k < 200; ++k)
+            keys.push_back(100 + (k * 7919) % 1000 * 4 + (k & 3));
+          for (Key k : keys) svc.seed(k, static_cast<Value>(k) + 1);
+          svc.prime();
+          if (late_small_inserts) {
+            // Keys below every primed window, in small batches that rotate
+            // over the shards.
+            std::vector<Item> small;
+            for (Key k = 0; k < 50; ++k) {
+              const Key key = (k * 37) % 50 * 2;
+              small.emplace_back(key, static_cast<Value>(key) + 1);
+              keys.push_back(key);
+            }
+            for (std::size_t i = 0; i < small.size(); i += 3)
+              svc.insert_batch(small.data() + i,
+                               std::min<std::size_t>(3, small.size() - i), i);
           }
-          for (std::size_t i = 0; i < small.size(); i += 3)
-            svc.insert_batch(small.data() + i,
-                             std::min<std::size_t>(3, small.size() - i), i);
-        }
-        EXPECT_EQ(svc.size(), keys.size());
+          EXPECT_EQ(svc.size(), keys.size());
 
-        std::vector<Key> drained;
-        while (const std::optional<Item> got = svc.delete_min()) {
-          EXPECT_EQ(got->second, static_cast<Value>(got->first) + 1);
-          drained.push_back(got->first);
-        }
+          std::vector<Key> drained;
+          while (const std::optional<Item> got = svc.delete_min()) {
+            EXPECT_EQ(got->second, static_cast<Value>(got->first) + 1);
+            drained.push_back(got->first);
+          }
 
-        const std::string where = "shards=" + std::to_string(shards) +
-                                  " batch=" + std::to_string(batch) +
-                                  " late=" + std::to_string(late_small_inserts);
-        ASSERT_EQ(drained.size(), keys.size()) << where;
-        EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end())) << where;
-        std::sort(keys.begin(), keys.end());
-        EXPECT_EQ(drained, keys) << where;
-        EXPECT_EQ(svc.size(), 0u);
+          const std::string where =
+              backend + " shards=" + std::to_string(shards) +
+              " batch=" + std::to_string(batch) +
+              " late=" + std::to_string(late_small_inserts);
+          ASSERT_EQ(drained.size(), keys.size()) << where;
+          EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end())) << where;
+          std::sort(keys.begin(), keys.end());
+          EXPECT_EQ(drained, keys) << where;
+          EXPECT_EQ(svc.size(), 0u);
+        }
       }
     }
   }
@@ -104,9 +108,8 @@ TEST(PqdService, SingleThreadedDrainIsSorted) {
 
 // Values must come back attached to their own keys (the shard-side value
 // table reunites them after the backend, which only reports keys). Keys
-// are unique here by design: duplicate-key semantics are the backend's
-// (the skiplist family updates in place), which is why the trace format
-// packs a unique tie-break into every key (docs/TRACES.md).
+// are unique here by design; DuplicateKeysFollowTheBackend covers equal
+// keys.
 TEST(PqdService, ValuesStayWithTheirKeys) {
   Service svc(make_config("skip", 4, 4));
   std::map<Key, Value> expect;
@@ -124,6 +127,47 @@ TEST(PqdService, ValuesStayWithTheirKeys) {
   while (const std::optional<Item> item = svc.delete_min())
     got[item->first] = item->second;
   EXPECT_EQ(got, expect);
+}
+
+// Equal keys are the backend's business. `globallock` keeps each copy as
+// its own item; `skip` and `relaxed` merge an insert into an equal key
+// already in the backend and keep the newest value, so the shard's
+// value table must follow the merge and not count a second item. Here
+// (10,1) sits in the backend when (10,2) arrives: with one shard and a
+// one-item window, (5,100) evicts it from the window.
+TEST(PqdService, DuplicateKeysFollowTheBackend) {
+  const auto insert_each = [](Service& svc, const std::vector<Item>& items) {
+    for (const Item& item : items) svc.insert_batch(&item, 1, 0);
+  };
+  const auto drain = [](Service& svc) {
+    std::vector<Item> out;
+    while (const std::optional<Item> got = svc.delete_min())
+      out.push_back(*got);
+    return out;
+  };
+  const std::vector<Item> items{{10, 1}, {5, 100}, {10, 2}};
+
+  for (const char* merging : {"skip", "relaxed"}) {
+    Service svc(make_config(merging, 1, 1));
+    insert_each(svc, items);
+    EXPECT_EQ(svc.size(), 2u) << merging;
+    EXPECT_EQ(drain(svc), (std::vector<Item>{{5, 100}, {10, 2}})) << merging;
+    EXPECT_EQ(svc.size(), 0u) << merging;
+    insert_each(svc, {{10, 3}});
+    EXPECT_EQ(drain(svc), (std::vector<Item>{{10, 3}})) << merging;
+  }
+
+  Service svc(make_config("globallock", 1, 1));
+  insert_each(svc, items);
+  EXPECT_EQ(svc.size(), 3u);
+  std::vector<Item> got = drain(svc);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], (Item{5, 100}));
+  // The order among equal keys is unspecified.
+  std::sort(got.begin() + 1, got.end());
+  EXPECT_EQ(got[1], (Item{10, 1}));
+  EXPECT_EQ(got[2], (Item{10, 2}));
+  EXPECT_EQ(svc.size(), 0u);
 }
 
 TEST(PqdService, InsertBatchAmortizesAcquisitions) {

@@ -26,9 +26,10 @@ using pqd::Session;
 using pqd::UdsTransport;
 using pqd::Value;
 
-ServiceConfig make_config(int shards, int batch) {
+ServiceConfig make_config(int shards, int batch,
+                          const std::string& backend = "skip") {
   ServiceConfig cfg;
-  cfg.backend = "skip";
+  cfg.backend = backend;
   cfg.shards = shards;
   cfg.batch = batch;
   cfg.queue.initial_size = 256;
@@ -104,46 +105,50 @@ TEST(InProc, SessionTableRecyclesSlots) {
 // One client sees the service as an exact priority queue: its own pending
 // inserts are applied before each dequeue and nothing else runs, so every
 // dequeue of the committed sample trace must return the exact resident
-// minimum, for any shard count and window size.
+// minimum, for any shard count and window size, over the default backend
+// and `skip`.
 TEST(InProc, OneClientReplayDequeuesExactMinimum) {
   const harness::Trace trace = harness::Trace::load(
       std::string(SLPQ_SOURCE_DIR) + "/bench/traces/sample_des.trace");
-  for (int shards : {1, 4}) {
-    for (int batch : {1, 8}) {
-      Service svc(make_config(shards, batch));
-      std::multiset<Key> resident;
-      for (const harness::TraceOp& w : trace.warm) {
-        const Key key = harness::spec::scenario_key(w.tick, w.tie);
-        svc.seed(key, static_cast<Value>(key) + 1);
-        resident.insert(key);
-      }
-      svc.prime();
-      InProcTransport transport(svc, 2);
-      Session session(transport);
-      std::size_t dequeues = 0, misses = 0;
-      for (const harness::TraceOp& op : trace.ops) {
-        if (op.kind == harness::TraceOp::Kind::kInsert) {
-          const Key key = harness::spec::scenario_key(op.tick, op.tie);
-          session.enqueue(key, static_cast<Value>(key) + 1);
+  for (const std::string& backend : {ServiceConfig{}.backend,
+                                     std::string("skip")}) {
+    for (int shards : {1, 4}) {
+      for (int batch : {1, 8}) {
+        Service svc(make_config(shards, batch, backend));
+        std::multiset<Key> resident;
+        for (const harness::TraceOp& w : trace.warm) {
+          const Key key = harness::spec::scenario_key(w.tick, w.tie);
+          svc.seed(key, static_cast<Value>(key) + 1);
           resident.insert(key);
-          continue;
         }
-        ++dequeues;
-        const std::optional<Item> got = session.dequeue();
-        if (resident.empty()) {
-          EXPECT_FALSE(got.has_value());
-          continue;
+        svc.prime();
+        InProcTransport transport(svc, 2);
+        Session session(transport);
+        std::size_t dequeues = 0, misses = 0;
+        for (const harness::TraceOp& op : trace.ops) {
+          if (op.kind == harness::TraceOp::Kind::kInsert) {
+            const Key key = harness::spec::scenario_key(op.tick, op.tie);
+            session.enqueue(key, static_cast<Value>(key) + 1);
+            resident.insert(key);
+            continue;
+          }
+          ++dequeues;
+          const std::optional<Item> got = session.dequeue();
+          if (resident.empty()) {
+            EXPECT_FALSE(got.has_value());
+            continue;
+          }
+          ASSERT_TRUE(got.has_value());
+          EXPECT_EQ(got->second, static_cast<Value>(got->first) + 1);
+          if (got->first != *resident.begin()) ++misses;
+          const auto it = resident.find(got->first);
+          ASSERT_NE(it, resident.end()) << "unknown key " << got->first;
+          resident.erase(it);
         }
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(got->second, static_cast<Value>(got->first) + 1);
-        if (got->first != *resident.begin()) ++misses;
-        const auto it = resident.find(got->first);
-        ASSERT_NE(it, resident.end()) << "unknown key " << got->first;
-        resident.erase(it);
+        EXPECT_EQ(misses, 0u) << backend << " shards=" << shards
+                              << " batch=" << batch << ": " << misses << " of "
+                              << dequeues << " dequeues missed the minimum";
       }
-      EXPECT_EQ(misses, 0u) << "shards=" << shards << " batch=" << batch
-                            << ": " << misses << " of " << dequeues
-                            << " dequeues missed the minimum";
     }
   }
 }

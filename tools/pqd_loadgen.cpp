@@ -53,7 +53,7 @@ struct Options {
   std::uint64_t ops = 20000;       // --emit-trace only
   std::uint64_t initial = 1000;    // --emit-trace only
   double insert_ratio = 0.5;       // --emit-trace only
-  std::vector<std::string> backends{"skip"};
+  std::vector<std::string> backends{pqd::ServiceConfig{}.backend};
   int shards = 4;
   int batch = 8;
   std::string transport = "inproc";
@@ -76,12 +76,14 @@ struct Options {
       "  --ops N               ops to record (emit mode) [20000]\n"
       "  --initial N           warm-set size (emit mode) [1000]\n"
       "  --insert-ratio R      insert probability (emit mode) [0.5]\n"
-      "  --pqd-backend LIST    comma-separated native backends [skip]\n"
+      "  --pqd-backend LIST    comma-separated native backends ["
+      << pqd::ServiceConfig{}.backend << "]\n"
       "  --pqd-shards N        service shards [4]\n"
       "  --pqd-batch N         session insert batch and shard window [8]\n"
       "  --pqd-transport T     inproc | uds [inproc]\n"
       "  --clients N           client threads (sessions) [8]\n"
-      "  --reclaim P           shard reclaim policy (ts|hp|epoch|leaky)\n"
+      "  --reclaim P           shard reclaim policy (ts|hp|epoch|leaky),\n"
+      "                        node-based shard backends only\n"
       "  --max-level N         shard skiplist max level [16]\n"
       "  --seed S              [1]\n"
       "  --stats               print the telemetry table\n"
